@@ -16,6 +16,11 @@ float value, padding):
   trade-off the paper's Figure 2 sweeps.  Results must be identical at
   every point; the figure records the throughput of each strategy so
   the trajectory shows where the crossover sits on this substrate.
+
+* ``test_where_within_ratio_of_no_where`` — a parsed WHERE over
+  block-born fragments filters each block with a vectorized mask and
+  ships the surviving rows columnar, so the WHERE shape must run within
+  ``WHERE_MAX_RATIO`` times the same query without WHERE.
 """
 
 import time
@@ -26,6 +31,7 @@ from repro.bench.harness import FigureResult
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
 from repro.parallel import mp_executor
+from repro.sql.parser import parse_query
 
 NUM_TUPLES = 150_000
 SELECTIVITY = 0.005
@@ -39,6 +45,9 @@ HEAD_TO_HEAD_STRATEGIES = ("pool", "global", "rep")
 
 E2E_MIN_SPEEDUP = 8.0
 E2E_STRATEGIES = ("global", "rep", "auto")
+
+WHERE_MAX_RATIO = 1.5
+WHERE_STRATEGIES = ("pool", "global")
 
 
 def _strkey_fig2(num_tuples, selectivity, num_nodes, seed=7,
@@ -231,3 +240,63 @@ def test_end_to_end_columnar_sweep():
         f"{speedups['global']:.2f}x the seed row path; expected >= "
         f"{E2E_MIN_SPEEDUP}x"
     )
+
+
+def test_where_within_ratio_of_no_where():
+    """The columnar-WHERE gate: on the block-born str-key Fig-2 data,
+    ``WHERE val >= 25.0`` runs within ``WHERE_MAX_RATIO`` times the
+    same query without it, on every strategy in ``WHERE_STRATEGIES``.
+
+    The WHERE result must equal, bit for bit, the per-row path's (a
+    row-born copy of the data, where the predicate runs per tuple).
+    """
+    plain = parse_query("SELECT gkey, SUM(val) FROM r GROUP BY gkey")[1]
+    where = parse_query(
+        "SELECT gkey, SUM(val) FROM r WHERE val >= 25.0 GROUP BY gkey"
+    )[1]
+    result = FigureResult(
+        "columnar_where",
+        "Vectorized WHERE vs no WHERE on block-born fragments, string "
+        "group keys",
+        ["strategy", "query", "elapsed_seconds", "tuples_per_second",
+         "ratio_vs_no_where"],
+        notes=(
+            f"{NUM_TUPLES} tuples, S={SELECTIVITY}, {WORKERS} workers, "
+            f"str16 group key, best of {REPEATS}; wall-clock "
+            f"(machine-dependent, not under the baseline figure gate — "
+            f"the gate is the <= {WHERE_MAX_RATIO}x assertion in this "
+            f"test)"
+        ),
+    )
+    ratios = {}
+    dist = _strkey_fig2(NUM_TUPLES, SELECTIVITY, WORKERS)
+    try:
+        per_row = mp_executor.multiprocessing_aggregate(
+            _strkey_fig2(NUM_TUPLES, SELECTIVITY, WORKERS, columnar=False),
+            where, processes=WORKERS, strategy="pool",
+        )
+        for strategy in WHERE_STRATEGIES:
+            plain_seconds, _ = _best_run(dist, plain, strategy)
+            where_seconds, rows = _best_run(dist, where, strategy)
+            assert rows == per_row, (
+                f"vectorized WHERE on {strategy!r} disagrees with the "
+                f"per-row path"
+            )
+            ratios[strategy] = where_seconds / plain_seconds
+            result.add_row(
+                strategy, "no_where", plain_seconds,
+                NUM_TUPLES / plain_seconds, 1.0,
+            )
+            result.add_row(
+                strategy, "where", where_seconds,
+                NUM_TUPLES / where_seconds, ratios[strategy],
+            )
+    finally:
+        mp_executor.shutdown_worker_pool()
+    report(result)
+
+    for strategy, ratio in ratios.items():
+        assert ratio <= WHERE_MAX_RATIO, (
+            f"WHERE on {strategy!r} takes {ratio:.2f}x the no-WHERE "
+            f"shape; expected <= {WHERE_MAX_RATIO}x"
+        )

@@ -242,6 +242,53 @@ class ColumnBlock:
         """The first ``n`` rows (buffer-sharing, like :meth:`slice`)."""
         return self.slice(0, n)
 
+    def filter(self, mask) -> "ColumnBlock":
+        """The rows where boolean array ``mask`` is true, in order.
+
+        Column buffers are copied; dictionaries are shared, so string
+        codes stay valid.
+        """
+        # One index array taken per column is several times faster than
+        # boolean-indexing each column (which re-scans the mask).
+        idx = _np.flatnonzero(mask)
+        return ColumnBlock(
+            self.schema,
+            len(idx),
+            [arr.take(idx) for arr in self.columns],
+            self.dictionaries,
+        )
+
+    def trim_dictionaries(self) -> "ColumnBlock":
+        """This block with unused dictionary entries dropped.
+
+        Only string columns whose dictionary has more entries than the
+        block has rows are rewritten — the check is O(1) per column, so
+        a block that uses a fair share of its dictionary pays nothing.
+        Blocks sliced, filtered or partitioned out of a larger one share
+        its whole dictionary; trimming before :meth:`to_bytes` ships
+        only the entries the rows use.  Surviving entries keep their
+        relative code order, so grouping order and every aggregate are
+        unchanged.  Returns ``self`` when nothing needs trimming.
+        """
+        oversized = [
+            i for i, dictionary in self.dictionaries.items()
+            if len(dictionary) > self.num_rows
+        ]
+        if not oversized:
+            return self
+        columns = list(self.columns)
+        dictionaries = dict(self.dictionaries)
+        for i in oversized:
+            used = _np.unique(columns[i])
+            values = dictionaries[i].values
+            dictionaries[i] = StringDictionary(
+                [values[c] for c in used.tolist()]
+            )
+            columns[i] = _np.searchsorted(used, columns[i]).astype(
+                _DTYPES["str"]
+            )
+        return ColumnBlock(self.schema, self.num_rows, columns, dictionaries)
+
     def to_bytes(self) -> bytes:
         """One contiguous buffer: header, column buffers, dictionaries."""
         parts = [
