@@ -372,6 +372,6 @@ class TestStratifiedSamplingRegression:
             1.0 / len(rows),
             len({row[0] for row in frag0}) / len(frag0),
         )
-        biased_choice, _ = choose_mp_strategy(_auto_params(dist), biased)
+        biased_choice, _ = choose_mp_strategy(_auto_params(dist, n), biased)
         assert biased_choice != choice.data["chosen"]
         assert len(result) == 1500
